@@ -37,8 +37,8 @@ DenseMatrix RandomMatrix(size_t n, Rng* rng) {
 // benchmark when the level exceeds what the CPU/build supports — or what a
 // global --simd= cap allows (so `--simd=scalar` runs produce scalar-only
 // timers, directly diffable against pre-SIMD baselines). Each dispatched
-// kernel is benchmarked at every level so the scalar-vs-SIMD ratio is
-// readable from one bench run.
+// kernel is benchmarked at every level it has a tier for, so the
+// scalar-vs-SIMD ratio is readable from one bench run.
 std::unique_ptr<ScopedSimdLevel> PinSimdLevel(benchmark::State& state,
                                               int64_t level_arg) {
   const SimdLevel level = static_cast<SimdLevel>(level_arg);
@@ -90,37 +90,8 @@ BENCHMARK(BM_Gemm)
     ->Args({512, 1})
     ->Args({512, 2});
 
-void BM_MaskedProduct(benchmark::State& state) {
-  // Random graph with n nodes and ~8n edges; the CliqueRank inner kernel.
-  size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<CsrMatrix::Triplet> triplets;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (int e = 0; e < 8; ++e) {
-      uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
-      if (j == i) continue;
-      triplets.push_back({i, j, rng.OpenUniformDouble()});
-      triplets.push_back({j, i, rng.OpenUniformDouble()});
-    }
-  }
-  CsrMatrix trans = CsrMatrix::FromTriplets(n, n, triplets);
-  trans.NormalizeRows();
-  CsrMatrix pattern = trans;  // same structure
-  std::vector<double> values(pattern.nnz(), 0.5);
-  std::vector<double> scratch(n * n, 0.0);
-  ScatterToDense(pattern, values.data(), scratch.data());
-  std::vector<double> out(pattern.nnz(), 0.0);
-  for (auto _ : state) {
-    ComputeMaskedProduct(trans, scratch.data(), pattern, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["edges"] = static_cast<double>(pattern.nnz());
-}
-BENCHMARK(BM_MaskedProduct)->Arg(512)->Arg(2048);
-
 void BM_MaskedProductCsr(benchmark::State& state) {
-  // Same kernel through the CSR-gather path: no n×n scratch, the previous
-  // power stays in CSR form.
+  // Random graph with n nodes and ~8n edges; the CliqueRank inner kernel.
   size_t n = static_cast<size_t>(state.range(0));
   auto pin = PinSimdLevel(state, state.range(1));
   if (pin == nullptr) return;
@@ -154,10 +125,8 @@ BENCHMARK(BM_MaskedProductCsr)
     ->ArgNames({"n", "simd"})
     ->Args({512, 0})
     ->Args({512, 1})
-    ->Args({512, 2})
     ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({2048, 2});
+    ->Args({2048, 1});
 
 // Batch of restaurant-style field pairs: long enough to exercise the DP /
 // bit-parallel cores, small enough to stay cache-resident. One iteration
@@ -270,12 +239,8 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
-// One ITER sweep, fused (arg 1: update + normalize + convergence delta in
-// one pass over the term vector) vs staged (arg 0: the three-pass
-// reference). Both produce bit-identical weights; the timer pair is the
-// fusion speedup the perf gate watches.
+// One ITER sweep (update, normalize, convergence delta).
 void BM_IterSweep(benchmark::State& state) {
-  const bool fused = state.range(0) != 0;
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
   RemoveFrequentTerms(&data.dataset);
   PairSpace pairs = PairSpace::Build(data.dataset);
@@ -284,23 +249,17 @@ void BM_IterSweep(benchmark::State& state) {
   IterOptions options;
   options.max_iterations = 1;  // cost of one sweep
   options.tolerance = 0.0;
-  options.fuse_sweeps = fused;
-  ScopedTimer timer(MetricsRegistry::Current(),
-                    fused ? "bench/iter_sweep_fused"
-                          : "bench/iter_sweep_staged");
+  ScopedTimer timer(MetricsRegistry::Current(), "bench/iter_sweep");
   for (auto _ : state) {
     benchmark::DoNotOptimize(RunIter(graph, probability, options));
   }
   state.counters["bipartite_edges"] = static_cast<double>(graph.num_edges());
 }
-BENCHMARK(BM_IterSweep)->ArgNames({"fused"})->Arg(0)->Arg(1);
+BENCHMARK(BM_IterSweep);
 
-// CliqueRank through the masked-sparse engine, fused (arg 1: one-sweep
-// transition+boost setup, accumulate folded into the masked-product
-// readout) vs staged (arg 0). Bit-identical outputs by contract; the timer
-// pair is the pipeline-fusion speedup on the paper's hot stage.
+// CliqueRank through the masked-sparse engine: transition and boost setup
+// plus seven masked-product steps.
 void BM_CliqueRankMasked(benchmark::State& state) {
-  const bool fused = state.range(0) != 0;
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
   RemoveFrequentTerms(&data.dataset);
   PairSpace pairs = PairSpace::Build(data.dataset);
@@ -309,17 +268,14 @@ void BM_CliqueRankMasked(benchmark::State& state) {
   CliqueRankOptions options;
   options.engine = CliqueRankEngine::kMaskedSparse;
   options.max_steps = 8;
-  options.fuse_passes = fused;
-  ScopedTimer timer(MetricsRegistry::Current(),
-                    fused ? "bench/cliquerank_masked_fused"
-                          : "bench/cliquerank_masked_staged");
+  ScopedTimer timer(MetricsRegistry::Current(), "bench/cliquerank_masked");
   for (auto _ : state) {
     auto result = RunCliqueRank(graph, pairs, options);
     benchmark::DoNotOptimize(result.value().pair_probability.data());
   }
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
-BENCHMARK(BM_CliqueRankMasked)->ArgNames({"fused"})->Arg(0)->Arg(1);
+BENCHMARK(BM_CliqueRankMasked);
 
 // RSS over the Paper-like record graph, pair loop split across a pool of
 // range(0) threads. Results are bit-identical for every thread count

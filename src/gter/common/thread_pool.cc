@@ -52,9 +52,16 @@ Status ThreadPool::Submit(std::function<void()> task) {
   return Submit(&default_group_, std::move(task));
 }
 
-void ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
-  Task task = std::move(tasks_.front());
-  tasks_.pop_front();
+std::deque<ThreadPool::Task>::iterator ThreadPool::FindQueued(
+    TaskGroup* group) {
+  return std::find_if(tasks_.begin(), tasks_.end(),
+                      [group](const Task& t) { return t.group == group; });
+}
+
+void ThreadPool::RunTask(std::deque<Task>::iterator it,
+                         std::unique_lock<std::mutex>* lock) {
+  Task task = std::move(*it);
+  tasks_.erase(it);
   lock->unlock();
   {
     GTER_TRACE_SPAN("pool/task", "pool");
@@ -67,16 +74,18 @@ void ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
 void ThreadPool::Wait(TaskGroup* group) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (group->pending_ > 0) {
-    if (!tasks_.empty()) {
-      // Help drain the queue instead of sleeping: the task we run may be
-      // ours or another group's, but either way the pool makes progress and
-      // a worker blocked here (nested ParallelFor) cannot deadlock.
-      RunOneTask(&lock);
+    auto own = FindQueued(group);
+    if (own != tasks_.end()) {
+      // Help with our own group's queued work. Never another group's: the
+      // waiter may hold a lock (a request holding a shared_mutex
+      // exclusively while its stage runs a ParallelFor), and another
+      // group's task could try to take that same lock on this thread.
+      RunTask(own, &lock);
     } else {
       // Our remaining tasks are running on other threads; sleep until a
-      // completion or a new task to steal arrives.
+      // completion or a newly queued task of ours.
       wakeup_.wait(lock, [this, group] {
-        return group->pending_ == 0 || !tasks_.empty();
+        return group->pending_ == 0 || FindQueued(group) != tasks_.end();
       });
     }
   }
@@ -92,7 +101,7 @@ void ThreadPool::WorkerLoop() {
       if (shutting_down_) return;
       continue;
     }
-    RunOneTask(&lock);
+    RunTask(tasks_.begin(), &lock);
   }
 }
 

@@ -50,11 +50,14 @@ class TaskGroup {
 /// Threading model (see DESIGN.md §"Threading model"):
 ///  * Every task belongs to a TaskGroup; `Wait(&group)` blocks until that
 ///    group's tasks — and only that group's tasks — have finished.
-///  * A thread blocked in `Wait()` helps drain the shared queue instead of
-///    sleeping while work is available. This makes `Wait()` safe to call
-///    from inside a worker task: nested `ParallelFor` cannot deadlock
-///    because the waiter executes queued tasks (its own group's or
-///    others') until its group completes.
+///  * A thread blocked in `Wait()` runs its own group's queued tasks
+///    instead of sleeping, and sleeps only while all of them are running
+///    elsewhere. This makes `Wait()` safe to call from inside a worker
+///    task: nested `ParallelFor` cannot deadlock because the waiter can
+///    always execute its own queued chunks. It never runs another group's
+///    task, so a waiter holding a lock cannot re-enter that lock through
+///    unrelated work (e.g. a queued read taking a shared_mutex the waiting
+///    writer holds exclusively).
 ///  * Concurrent `ParallelFor` calls from different threads are independent:
 ///    each waits on its own group, never on the union of all in-flight work.
 class ThreadPool {
@@ -76,8 +79,9 @@ class ThreadPool {
   /// prefer an explicit TaskGroup). Same shutdown semantics as above.
   Status Submit(std::function<void()> task);
 
-  /// Blocks until every task submitted to `group` has finished. Helps drain
-  /// the queue while waiting, so this is safe to call from a worker thread.
+  /// Blocks until every task submitted to `group` has finished. Runs the
+  /// group's queued tasks while waiting (and no other group's), so this is
+  /// safe to call from a worker thread.
   void Wait(TaskGroup* group);
 
   /// Blocks until the pool-wide default group is empty (legacy interface).
@@ -96,9 +100,12 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  /// Pops and runs one task. `lock` must be held; it is released while the
-  /// task runs and re-acquired before returning.
-  void RunOneTask(std::unique_lock<std::mutex>* lock);
+  /// First queued task of `group`, or tasks_.end(). `mutex_` must be held.
+  std::deque<Task>::iterator FindQueued(TaskGroup* group);
+  /// Dequeues and runs the task at `it`. `lock` must be held; it is
+  /// released while the task runs and re-acquired before returning.
+  void RunTask(std::deque<Task>::iterator it,
+               std::unique_lock<std::mutex>* lock);
 
   std::vector<std::thread> workers_;
   std::deque<Task> tasks_;
@@ -116,7 +123,8 @@ class ThreadPool {
 /// Runs inline when the range is small or the pool has one thread.
 ///
 /// Safe to call concurrently from multiple threads sharing one pool, and
-/// recursively from inside `fn` (the blocked caller drains queued chunks).
+/// recursively from inside `fn` (the blocked caller runs its own queued
+/// chunks).
 /// Chunk boundaries depend only on (begin, end, grain, num_threads), so any
 /// `fn` whose chunks are independent yields thread-count-independent
 /// results as long as each index's computation is self-contained.

@@ -90,20 +90,14 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
     {
       ScopedTimer product_timer(metrics, recorder, "cliquerank/masked_product",
                                 TraceArg{"step", static_cast<double>(step)});
-      // Fused mode folds `accum += M^k` into the kernel's row readout (the
-      // positions are already in registers there); staged mode keeps the
-      // separate sweep below so the two paths can be differenced.
-      GTER_RETURN_IF_ERROR(ComputeMaskedProductCsr(
-          trans, cur.data(), pattern, next.data(),
-          options.fuse_passes ? accum.data() : nullptr, ctx));
+      GTER_RETURN_IF_ERROR(
+          ComputeMaskedProductCsr(trans, cur.data(), pattern, next.data(), ctx));
     }
     cur.swap(next);
-    if (!options.fuse_passes) {
-      ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
-                  [&](size_t lo, size_t hi) {
-        for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
-      });
-    }
+    ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
+                [&](size_t lo, size_t hi) {
+      for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
+    });
   }
   if (metrics != nullptr && options.max_steps >= 2) {
     metrics->AddCounter("cliquerank/steps", options.max_steps - 1);
@@ -124,60 +118,6 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
     }
   });
   return probability;
-}
-
-/// Fused setup pass: fills `trans` (already a structural copy of the
-/// pattern, values ignored) with the Eq. 11/13 transition values and `m1`
-/// with the Eq. 12 boosted one-step values in one sweep over the graph's
-/// rows — replacing the staged TransitionMatrix() triplet build +
-/// FromTriplets sort plus the CliqueRankBoostedValues re-sweep over the
-/// value array. Bit-identity with the staged path: per row the row-max /
-/// power / normalize arithmetic is op-for-op the same, rows are visited in
-/// the same row-major neighbor-ascending order FromTriplets would emit, and
-/// the boost RNG therefore consumes draws in exactly the CSR value order
-/// CliqueRankBoostedValues consumes them.
-void FusedTransitionAndBoost(const RecordGraph& graph,
-                             const CliqueRankOptions& options,
-                             CsrMatrix* trans, std::vector<double>* m1) {
-  m1->resize(trans->nnz());
-  Rng rng(options.seed);
-  double expected_boost = 0.0;
-  if (options.use_boost && options.boost_mode == BoostMode::kExpected) {
-    // E[(1+b)^α] for b ~ U(0,1) = (2^{α+1} − 1) / (α + 1).
-    expected_boost =
-        (std::pow(2.0, options.alpha + 1.0) - 1.0) / (options.alpha + 1.0);
-  }
-  for (RecordId r = 0; r < graph.num_nodes(); ++r) {
-    auto wts = graph.Weights(r);
-    if (wts.empty()) continue;
-    std::span<double> tv = trans->MutableRowValues(r);
-    double* bv = m1->data() + trans->RowStart(r);
-    double row_max = 0.0;
-    for (double w : wts) row_max = std::max(row_max, w);
-    if (row_max <= 0.0) {
-      // Degenerate row: all similarities zero → uniform transitions.
-      const double uniform = 1.0 / static_cast<double>(wts.size());
-      for (size_t k = 0; k < wts.size(); ++k) tv[k] = uniform;
-    } else {
-      double denom = 0.0;
-      for (size_t k = 0; k < wts.size(); ++k) {
-        tv[k] = std::pow(wts[k] / row_max, options.alpha);
-        denom += tv[k];
-      }
-      for (size_t k = 0; k < wts.size(); ++k) tv[k] /= denom;
-    }
-    for (size_t k = 0; k < wts.size(); ++k) {
-      double t = tv[k];
-      if (options.use_boost && t > 0.0) {
-        double boost = expected_boost;
-        if (options.boost_mode == BoostMode::kSampled) {
-          boost = std::pow(1.0 + rng.OpenUniformDouble(), options.alpha);
-        }
-        t = boost * t / (1.0 - t + boost * t);
-      }
-      bv[k] = t;
-    }
-  }
 }
 
 }  // namespace
@@ -223,19 +163,9 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   ScopedTimer total_timer(metrics, recorder, "cliquerank/total");
   Stopwatch watch;
   CsrMatrix pattern = graph.AdjacencyMatrix();
-  CsrMatrix trans;
-  std::vector<double> m1;
-  if (options.fuse_passes) {
-    // Transition values and boosted M¹ in one sweep over the graph's rows,
-    // written into a structural twin of the pattern (same CSR layout, so
-    // nnz/positions line up by construction).
-    trans = pattern;
-    FusedTransitionAndBoost(graph, options, &trans, &m1);
-  } else {
-    trans = graph.TransitionMatrix(options.alpha);
-    GTER_CHECK(trans.nnz() == pattern.nnz());  // identical structure
-    m1 = CliqueRankBoostedValues(trans, options);
-  }
+  CsrMatrix trans = graph.TransitionMatrix(options.alpha);
+  GTER_CHECK(trans.nnz() == pattern.nnz());  // identical structure
+  std::vector<double> m1 = CliqueRankBoostedValues(trans, options);
 
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {

@@ -46,16 +46,6 @@ struct CliqueRankOptions {
   CliqueRankEngine engine = CliqueRankEngine::kAuto;
   /// kAuto switches to the dense engine above this edge density.
   double dense_density_threshold = 0.25;
-  /// Fuse the hot passes (default). Setup: transition row-normalize and the
-  /// Eq. 12 boost run as one sweep over the graph's rows writing straight
-  /// into a structural copy of the pattern, instead of the staged triplet
-  /// build + FromTriplets sort + boost re-sweep. Masked engine: the per-step
-  /// `accum += M^k` sweep folds into the masked-product row readout.
-  /// Both fusions are bit-identical to the staged passes (RNG draw order
-  /// and every arithmetic op are preserved — see FusedTransitionAndBoost
-  /// and masked_multiply.h); the flag exists so the differential tests can
-  /// pin fused against staged.
-  bool fuse_passes = true;
 };
 
 /// Output of one CliqueRank run.

@@ -101,7 +101,6 @@
 #include "gter/core/correlation_clustering.h"
 #include "gter/core/fusion.h"
 #include "gter/core/iter.h"
-#include "gter/core/iter_matrix.h"
 #include "gter/core/model_io.h"
 #include "gter/core/progressive.h"
 #include "gter/core/resolver.h"

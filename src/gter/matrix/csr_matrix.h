@@ -43,11 +43,6 @@ class CsrMatrix {
     return {values_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
   }
 
-  /// Mutable values of row `r`.
-  std::span<double> MutableRowValues(size_t r) {
-    return {values_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
-  }
-
   /// Flat value array (nnz entries, row-major CSR order).
   std::span<const double> values() const { return values_; }
   std::span<double> mutable_values() { return values_; }

@@ -9,73 +9,17 @@
 
 namespace gter {
 
-Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
-                            const CsrMatrix& pattern, double* out_values,
-                            const ExecContext& ctx) {
-  GTER_CHECK(trans.rows() == pattern.rows());
-  GTER_CHECK(trans.cols() == pattern.rows());
-  GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-#if GTER_HAVE_AVX512
-  if (ctx.simd_level() >= SimdLevel::kAvx512) {
-    return internal::MaskedProductDenseAvx512(trans, prev_dense, pattern,
-                                              out_values, ctx);
-  }
-#endif
-#if GTER_HAVE_AVX2
-  if (ctx.simd_level() >= SimdLevel::kAvx2) {
-    return internal::MaskedProductDenseAvx2(trans, prev_dense, pattern,
-                                            out_values, ctx);
-  }
-#endif
-  const size_t n = pattern.cols();
-  ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8,
-              [&](size_t lo, size_t hi) {
-    if (ctx.cancelled()) return;  // skip the chunk; reported after the join
-    for (size_t i = lo; i < hi; ++i) {
-      auto pat_cols = pattern.RowCols(i);
-      if (pat_cols.empty()) continue;
-      auto t_cols = trans.RowCols(i);
-      auto t_vals = trans.RowValues(i);
-      // out position base for row i of the pattern.
-      int64_t base = pattern.PositionOf(i, pat_cols[0]);
-      for (size_t e = 0; e < pat_cols.size(); ++e) {
-        const size_t j = pat_cols[e];
-        double acc = 0.0;
-        for (size_t p = 0; p < t_cols.size(); ++p) {
-          acc += t_vals[p] * prev_dense[static_cast<size_t>(t_cols[p]) * n + j];
-        }
-        out_values[static_cast<size_t>(base) + e] = acc;
-      }
-    }
-  });
-  return ctx.CheckCancel();
-}
-
 Status ComputeMaskedProductCsr(const CsrMatrix& trans,
                                const double* prev_values,
                                const CsrMatrix& pattern, double* out_values,
                                const ExecContext& ctx) {
-  return ComputeMaskedProductCsr(trans, prev_values, pattern, out_values,
-                                 /*accum_values=*/nullptr, ctx);
-}
-
-Status ComputeMaskedProductCsr(const CsrMatrix& trans,
-                               const double* prev_values,
-                               const CsrMatrix& pattern, double* out_values,
-                               double* accum_values, const ExecContext& ctx) {
   GTER_CHECK(trans.rows() == pattern.rows());
   GTER_CHECK(trans.cols() == pattern.rows());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-#if GTER_HAVE_AVX512
-  if (ctx.simd_level() >= SimdLevel::kAvx512) {
-    return internal::MaskedProductCsrAvx512(trans, prev_values, pattern,
-                                            out_values, accum_values, ctx);
-  }
-#endif
 #if GTER_HAVE_AVX2
   if (ctx.simd_level() >= SimdLevel::kAvx2) {
     return internal::MaskedProductCsrAvx2(trans, prev_values, pattern,
-                                          out_values, accum_values, ctx);
+                                          out_values, ctx);
   }
 #endif
   const size_t n = pattern.cols();
@@ -90,12 +34,13 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
       if (pat_cols.empty()) continue;
       auto t_cols = trans.RowCols(i);
       auto t_vals = trans.RowValues(i);
-      // acc[j] = Σ_k trans[i,k]·prev[k,j]; ascending k keeps the per-entry
-      // summation order identical to the dense-scratch kernel.
+      size_t touched = 0;
+      // acc[j] = Σ_k trans[i,k]·prev[k,j], over ascending k.
       for (size_t p = 0; p < t_cols.size(); ++p) {
         const size_t k = t_cols[p];
         const double w = t_vals[p];
         auto prev_cols = pattern.RowCols(k);
+        touched += prev_cols.size();
         const double* pv = prev_values + pattern.RowStart(k);
         for (size_t e = 0; e < prev_cols.size(); ++e) {
           acc[prev_cols[e]] += w * pv[e];
@@ -105,14 +50,15 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
       for (size_t e = 0; e < pat_cols.size(); ++e) {
         out_values[base + e] = acc[pat_cols[e]];
       }
-      if (accum_values != nullptr) {
-        for (size_t e = 0; e < pat_cols.size(); ++e) {
-          accum_values[base + e] += out_values[base + e];
+      // Re-zero the accumulator. A row of a dense cluster gathers far more
+      // entries than `acc` holds (columns repeat across the k rows), so one
+      // contiguous clear is cheaper than revisiting each gathered entry.
+      if (touched >= n) {
+        for (double& v : acc) v = 0.0;
+      } else {
+        for (size_t p = 0; p < t_cols.size(); ++p) {
+          for (uint32_t c : pattern.RowCols(t_cols[p])) acc[c] = 0.0;
         }
-      }
-      // Zero exactly the entries the gather touched.
-      for (size_t p = 0; p < t_cols.size(); ++p) {
-        for (uint32_t c : pattern.RowCols(t_cols[p])) acc[c] = 0.0;
       }
     }
   });

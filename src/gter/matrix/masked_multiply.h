@@ -14,54 +14,32 @@ namespace gter {
 /// matching probability (which is read only on graph edges), so the whole
 /// iteration can be confined to the structural pattern of M_n.
 ///
-/// `ComputeMaskedProduct` computes, for every structural entry (i, j) of
+/// `ComputeMaskedProductCsr` computes, for every structural entry (i, j) of
 /// `pattern` (= M_n, values ignored):
 ///
-///   out[pos(i,j)] = Σ_k trans[i,k] · prev_dense[k·n + j]
+///   out[pos(i,j)] = Σ_k trans[i,k] · prev[k,j]
 ///
-/// where `prev_dense` is an n×n row-major scratch buffer holding M^{k-1}
-/// already masked to the pattern (zero elsewhere). Output is written into
-/// `out_values`, parallel to the CSR value array of `pattern`.
+/// where M^{k-1} stays in CSR form (`prev_values`, parallel to `pattern`'s
+/// value array, zero off the pattern). Output is written into
+/// `out_values`, parallel to the same value array. Row i is computed
+/// Gustavson style — gather trans-row-i-scaled pattern rows into an O(n)
+/// dense accumulator, read the pattern positions out, re-zero the
+/// accumulator (entry by entry, or in one contiguous clear once the row
+/// gathered at least n entries) — so peak extra memory is O(n) per worker
+/// chunk, never O(n²).
 ///
 /// Cost: Σ_{(i,j)∈pattern} nnz(trans row i) — linear in pattern edges times
 /// average degree, vs. n³ for the dense product.
 ///
+/// Each output entry sums over ascending k of trans row i, the same order
+/// at every SIMD level (the AVX2 twin vectorizes only the exact products),
+/// so the result is bit-identical across levels and thread counts.
 /// Parallelized over row chunks via `ctx.pool`, dispatched at
 /// `ctx.simd_level()`, polled per row chunk; on cancellation returns early
 /// with `out_values` partially written.
-Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
-                            const CsrMatrix& pattern, double* out_values,
-                            const ExecContext& ctx = DefaultExecContext());
-
-/// Fully sparse variant of `ComputeMaskedProduct`: M^{k-1} stays in CSR
-/// form (`prev_values`, parallel to `pattern`'s value array) instead of
-/// being scattered into an n×n dense scratch. Row i is computed Gustavson
-/// style — gather trans-row-i-scaled pattern rows into an O(n) dense
-/// accumulator, read the pattern positions out, zero the touched entries —
-/// so peak extra memory is O(n) per worker chunk rather than O(n²) shared.
-///
-/// Summation order per output entry matches the dense-scratch kernel
-/// (ascending k over trans row i), so the two kernels are bit-identical.
 Status ComputeMaskedProductCsr(const CsrMatrix& trans,
                                const double* prev_values,
                                const CsrMatrix& pattern, double* out_values,
-                               const ExecContext& ctx = DefaultExecContext());
-
-/// Fused-accumulate variant: in the same pass that reads row i's results
-/// out of the dense accumulator, also performs
-///   accum_values[pos] += out_values[pos]
-/// for every structural position of the row (`accum_values` parallel to
-/// `pattern`'s value array; may be null, which degrades to the plain
-/// kernel). This removes CliqueRank's separate accumulation sweep over the
-/// value array each step. Determinism argument: the accumulate is
-/// elementwise on positions this worker just wrote — it reorders nothing,
-/// adds no cross-thread sharing, and leaves `out_values` untouched, so the
-/// fused kernel is bit-identical to running the plain kernel followed by a
-/// separate `accum += out` sweep.
-Status ComputeMaskedProductCsr(const CsrMatrix& trans,
-                               const double* prev_values,
-                               const CsrMatrix& pattern, double* out_values,
-                               double* accum_values,
                                const ExecContext& ctx = DefaultExecContext());
 
 /// Scatters CSR `values` (parallel to `pattern`'s value array) into the

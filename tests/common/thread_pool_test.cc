@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -110,8 +112,7 @@ TEST(TaskGroupTest, WaitCoversOnlyOwnGroup) {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     slow_done.store(true);
   }).ok());
-  // Ensure the slow task is *running* (not queued, where a helping waiter
-  // could legitimately pick it up).
+  // Ensure the slow task is *running*: in flight on a worker while we wait.
   while (!slow_started.load()) std::this_thread::yield();
 
   TaskGroup fast;
@@ -192,6 +193,68 @@ TEST(ParallelForTest, DoublyNestedDoesNotDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 8 * 8 * 8);
+}
+
+TEST(ParallelForTest, WaiterHoldingALockRunsOnlyItsOwnGroup) {
+  // A writer task holds a shared_mutex exclusively and runs a ParallelFor
+  // while another group's reader task, which takes the shared lock, sits
+  // queued ahead of the writer's chunks. A Wait() that helped with any
+  // queued task would run the reader on the writer's thread, re-locking
+  // the mutex that thread holds (std::system_error, EDEADLK).
+  ThreadPool pool(2);
+  std::shared_mutex mu;
+  std::atomic<bool> blocker_started{false};
+  std::atomic<bool> release_blocker{false};
+  std::atomic<bool> writer_locked{false};
+  std::atomic<bool> reader_queued{false};
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> reader_ran_on_writer{false};
+  std::atomic<bool> reader_got_lock{false};
+  std::atomic<int> covered{0};
+  std::thread::id writer_thread;  // published by writer_locked
+
+  // Occupy one worker so the reader stays queued behind the writer.
+  TaskGroup blocker, writer, reader;
+  ASSERT_TRUE(pool.Submit(&blocker, [&] {
+    blocker_started.store(true);
+    while (!release_blocker.load()) std::this_thread::yield();
+  }).ok());
+  while (!blocker_started.load()) std::this_thread::yield();
+
+  ASSERT_TRUE(pool.Submit(&writer, [&] {
+    {
+      std::unique_lock<std::shared_mutex> lock(mu);
+      writer_thread = std::this_thread::get_id();
+      writer_locked.store(true);
+      while (!reader_queued.load()) std::this_thread::yield();
+      ParallelFor(&pool, 0, 64, 1, [&](size_t lo, size_t hi) {
+        covered.fetch_add(static_cast<int>(hi - lo));
+      });
+      writer_locked.store(false);
+    }
+    writer_done.store(true);
+  }).ok());
+  while (!writer_locked.load()) std::this_thread::yield();
+
+  ASSERT_TRUE(pool.Submit(&reader, [&] {
+    if (writer_locked.load() && std::this_thread::get_id() == writer_thread) {
+      // Nested inside the writer's Wait(): the lock below would throw.
+      reader_ran_on_writer.store(true);
+      return;
+    }
+    std::shared_lock<std::shared_mutex> lock(mu);
+    reader_got_lock.store(true);
+  }).ok());
+  reader_queued.store(true);
+
+  while (!writer_done.load()) std::this_thread::yield();
+  release_blocker.store(true);
+  pool.Wait(&writer);
+  pool.Wait(&reader);
+  pool.Wait(&blocker);
+  EXPECT_FALSE(reader_ran_on_writer.load());
+  EXPECT_TRUE(reader_got_lock.load());
+  EXPECT_EQ(covered.load(), 64);
 }
 
 TEST(ParallelForTest, ConcurrentCallersAreIndependent) {

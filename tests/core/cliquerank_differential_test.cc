@@ -2,9 +2,9 @@
 // and the masked-sparse engine implement the same recurrence and must
 // agree on ANY graph — checked on Erdős–Rényi graphs whose densities
 // straddle the kAuto switch point, across seeds and boost modes. A second
-// harness pins the CSR-gather masked kernel bit-identically to the
-// dense-scratch reference kernel at a size where the O(n²) scratch is the
-// thing being replaced.
+// harness pins the CSR-gather masked kernel bit-identically to a
+// dense-scratch reference at a size where the O(n²) scratch is the thing
+// the CSR kernel exists to avoid.
 
 #include <cmath>
 #include <tuple>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/cpu.h"
 #include "gter/common/random.h"
 #include "gter/common/thread_pool.h"
 #include "gter/core/cliquerank.h"
@@ -63,6 +64,7 @@ TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
   ErdosRenyiWorld world(n, density, seed);
   if (world.pairs.size() == 0) GTEST_SKIP() << "empty graph";
 
+  ThreadPool pool(4);
   for (BoostMode mode : {BoostMode::kSampled, BoostMode::kExpected}) {
     CliqueRankOptions dense;
     dense.engine = CliqueRankEngine::kDense;
@@ -83,6 +85,17 @@ TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
           << "pair " << p << " mode "
           << (mode == BoostMode::kSampled ? "sampled" : "expected");
     }
+
+    // Each engine is bit-identical with a pool.
+    const ExecContext pooled = ExecContext::WithPool(&pool);
+    EXPECT_EQ(RunCliqueRank(world.graph, world.pairs, dense, pooled)
+                  .value()
+                  .pair_probability,
+              rd.pair_probability);
+    EXPECT_EQ(RunCliqueRank(world.graph, world.pairs, masked, pooled)
+                  .value()
+                  .pair_probability,
+              rm.pair_probability);
   }
 }
 
@@ -101,17 +114,50 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// The reference masked product: for every structural entry (i, j) of
+/// `pattern`, out[pos(i,j)] = Σ_k trans[i,k] · prev_dense[k·n + j], over
+/// ascending k, where `prev_dense` is M^{k-1} scattered into an n×n
+/// row-major scratch (zero off the pattern).
+void DenseScratchMaskedProduct(const CsrMatrix& trans,
+                               const double* prev_dense,
+                               const CsrMatrix& pattern, double* out_values) {
+  const size_t n = pattern.cols();
+  for (size_t i = 0; i < pattern.rows(); ++i) {
+    auto pat_cols = pattern.RowCols(i);
+    auto t_cols = trans.RowCols(i);
+    auto t_vals = trans.RowValues(i);
+    const size_t base = pattern.RowStart(i);
+    for (size_t e = 0; e < pat_cols.size(); ++e) {
+      const size_t j = pat_cols[e];
+      double acc = 0.0;
+      for (size_t p = 0; p < t_cols.size(); ++p) {
+        acc += t_vals[p] * prev_dense[static_cast<size_t>(t_cols[p]) * n + j];
+      }
+      out_values[base + e] = acc;
+    }
+  }
+}
+
 /// The kernel-level differential: ComputeMaskedProductCsr (O(n) gather)
-/// against ComputeMaskedProduct (O(n²) dense scratch) must be
-/// bit-identical — same per-entry summation order — at a scale where the
-/// dense scratch (n² doubles) is what the CSR path exists to avoid.
+/// against the dense-scratch reference must be bit-identical — same
+/// per-entry summation order — at every SIMD level the host has. The
+/// sparse graphs re-zero the kernel's accumulator entry by entry; the
+/// dense one gathers more entries per row than there are columns, which
+/// takes the contiguous clear.
 TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
-  const size_t n = 2000;
-  for (uint64_t seed : {11u, 12u, 13u}) {
+  struct Case {
+    size_t n;
+    int edges_per_node;
+    uint64_t seed;
+  };
+  for (const Case& c : {Case{2000, 6, 11}, Case{2000, 6, 12},
+                        Case{2000, 6, 13}, Case{120, 40, 14}}) {
+    const size_t n = c.n;
+    const uint64_t seed = c.seed;
     Rng rng(seed);
     std::vector<CsrMatrix::Triplet> triplets;
     for (uint32_t i = 0; i < n; ++i) {
-      for (int e = 0; e < 6; ++e) {
+      for (int e = 0; e < c.edges_per_node; ++e) {
         uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
         if (j == i) continue;
         double w = rng.OpenUniformDouble();
@@ -128,14 +174,20 @@ TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
     std::vector<double> scratch(n * n, 0.0);
     ScatterToDense(pattern, prev.data(), scratch.data());
     std::vector<double> out_dense(pattern.nnz(), -1.0);
-    ComputeMaskedProduct(trans, scratch.data(), pattern, out_dense.data());
+    DenseScratchMaskedProduct(trans, scratch.data(), pattern,
+                              out_dense.data());
 
-    std::vector<double> out_csr(pattern.nnz(), -1.0);
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, out_csr.data());
-
-    for (size_t e = 0; e < pattern.nnz(); ++e) {
-      ASSERT_EQ(out_dense[e], out_csr[e]) << "entry " << e << " seed "
-                                          << seed;
+    for (SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+      ScopedSimdLevel scoped(level);
+      std::vector<double> out_csr(pattern.nnz(), -1.0);
+      ASSERT_TRUE(
+          ComputeMaskedProductCsr(trans, prev.data(), pattern, out_csr.data())
+              .ok());
+      for (size_t e = 0; e < pattern.nnz(); ++e) {
+        ASSERT_EQ(out_dense[e], out_csr[e])
+            << "entry " << e << " seed " << seed << " level "
+            << SimdLevelName(level);
+      }
     }
   }
 }

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gter/common/random.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "gter/text/string_metrics.h"
@@ -129,91 +128,6 @@ TEST(LshBlockingTest, MoreBandsNeverLowerRecall) {
       BlockingRecall(data.dataset, data.truth,
                      LshBlocking(data.dataset, many).value().pairs);
   EXPECT_GE(recall_many + 1e-12, recall_few);
-}
-
-// --- Incremental posting index (DESIGN.md §4g) -------------------------
-
-std::set<std::pair<RecordId, RecordId>> AsSet(
-    const std::vector<RecordPair>& pairs) {
-  std::set<std::pair<RecordId, RecordId>> out;
-  for (const RecordPair& rp : pairs) out.emplace(rp.a, rp.b);
-  return out;
-}
-
-// Streaming every record through Upsert — in a shuffled order — emits
-// exactly the batch LshBlocking pair set, and the bucket population
-// matches too.
-TEST(LshPostingIndexTest, StreamedUpsertsMatchBatchBlocking) {
-  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.2, 17);
-  RemoveFrequentTerms(&data.dataset);
-  LshBlockingOptions options;
-  options.num_bands = 32;
-  options.rows_per_band = 2;
-  BlockingResult batch = LshBlocking(data.dataset, options).value();
-
-  std::vector<uint32_t> order(data.dataset.size());
-  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
-  Rng rng(99);
-  rng.Shuffle(&order);
-
-  LshPostingIndex index(data.dataset.num_sources(), options);
-  std::vector<RecordPair> streamed;
-  for (RecordId r : order) {
-    const Record& rec = data.dataset.record(r);
-    auto fresh = index.Upsert(r, rec.terms, rec.source);
-    streamed.insert(streamed.end(), fresh.begin(), fresh.end());
-  }
-  EXPECT_EQ(AsSet(streamed), AsSet(batch.pairs));
-  EXPECT_EQ(index.num_pairs(), batch.pairs.size());
-  EXPECT_EQ(index.num_buckets(), batch.buckets);
-}
-
-// Re-upserting a record with a changed term set moves it between buckets:
-// the index converges to the state of a stream that only ever saw the
-// final term sets.
-TEST(LshPostingIndexTest, ReupsertRehashesRecord) {
-  LshBlockingOptions options;
-  options.num_bands = 8;
-  options.rows_per_band = 2;
-  LshPostingIndex index(1, options);
-  index.Upsert(0, {1, 2, 3}, 0);
-  index.Upsert(1, {100, 200}, 0);    // unrelated at first
-  index.Upsert(1, {1, 2, 3}, 0);     // now identical to record 0
-  // Identical sets collide in every band → the pair must have been found.
-  EXPECT_EQ(index.num_pairs(), 1u);
-  // And the stale buckets for record 1's old signature are gone: a fresh
-  // stream of the final state has the same bucket count.
-  LshPostingIndex fresh(1, options);
-  fresh.Upsert(0, {1, 2, 3}, 0);
-  fresh.Upsert(1, {1, 2, 3}, 0);
-  EXPECT_EQ(index.num_buckets(), fresh.num_buckets());
-}
-
-TEST(LshPostingIndexTest, DirtyBandsRaiseAndClear) {
-  LshBlockingOptions options;
-  options.num_bands = 4;
-  options.rows_per_band = 2;
-  LshPostingIndex index(1, options);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-  index.Upsert(0, {5, 6}, 0);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 1);
-  index.ClearDirtyBands();
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-  // An empty-term upsert of an unbucketed record touches nothing.
-  index.Upsert(1, {}, 0);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-}
-
-TEST(LshPostingIndexTest, TwoSourceSuppressesSameSourcePairs) {
-  LshBlockingOptions options;
-  options.num_bands = 8;
-  options.rows_per_band = 2;
-  LshPostingIndex index(2, options);
-  index.Upsert(0, {1, 2, 3}, 0);
-  auto same = index.Upsert(1, {1, 2, 3}, 0);   // same source, identical set
-  EXPECT_TRUE(same.empty());
-  auto cross = index.Upsert(2, {1, 2, 3}, 1);  // other source
-  EXPECT_EQ(cross.size(), 2u);
 }
 
 TEST(CanopyBlockingTest, HighRecallWithFarFewerPairs) {

@@ -1,7 +1,6 @@
 #include "gter/matrix/masked_multiply.h"
 
 #include "gter/common/random.h"
-#include "gter/common/thread_pool.h"
 #include "gter/matrix/gemm.h"
 
 #include <gtest/gtest.h>
@@ -37,53 +36,6 @@ Fixture MakeFixture(size_t n, double edge_prob, uint64_t seed) {
   f.trans = CsrMatrix::FromTriplets(n, n, std::move(tr));
   f.trans.NormalizeRows();
   return f;
-}
-
-TEST(MaskedMultiplyTest, MatchesDenseProductOnPattern) {
-  Fixture f = MakeFixture(20, 0.3, 42);
-  // Current iterate: random values on the pattern.
-  Rng rng(7);
-  std::vector<double> cur(f.pattern.nnz());
-  for (auto& v : cur) v = rng.UniformDouble();
-
-  // Reference: dense M_t × (M ⊙ M_n).
-  DenseMatrix m(f.n, f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), m.data());
-  DenseMatrix masked = m.Hadamard(f.pattern.ToDense());
-  DenseMatrix ref = Multiply(f.trans.ToDense(), masked);
-
-  // Masked kernel.
-  std::vector<double> scratch(f.n * f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), scratch.data());
-  std::vector<double> out(f.pattern.nnz(), 0.0);
-  ComputeMaskedProduct(f.trans, scratch.data(), f.pattern, out.data());
-
-  size_t pos = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    for (uint32_t j : f.pattern.RowCols(i)) {
-      EXPECT_NEAR(out[pos], ref(i, j), 1e-12) << i << "," << j;
-      ++pos;
-    }
-  }
-}
-
-TEST(MaskedMultiplyTest, ParallelMatchesSequential) {
-  Fixture f = MakeFixture(30, 0.2, 5);
-  Rng rng(9);
-  std::vector<double> cur(f.pattern.nnz());
-  for (auto& v : cur) v = rng.UniformDouble();
-  std::vector<double> scratch(f.n * f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), scratch.data());
-
-  std::vector<double> seq(f.pattern.nnz(), 0.0);
-  GTER_CHECK_OK(
-      ComputeMaskedProduct(f.trans, scratch.data(), f.pattern, seq.data()));
-  ThreadPool pool(4);
-  std::vector<double> par(f.pattern.nnz(), 0.0);
-  GTER_CHECK_OK(ComputeMaskedProduct(f.trans, scratch.data(), f.pattern,
-                                     par.data(),
-                                     ExecContext::WithPool(&pool)));
-  for (size_t i = 0; i < seq.size(); ++i) EXPECT_DOUBLE_EQ(seq[i], par[i]);
 }
 
 TEST(MaskedMultiplyTest, CsrGatherMatchesDenseReference) {
@@ -132,21 +84,6 @@ TEST(MaskedMultiplyTest, ScatterOverwritesPatternPositions) {
   double total = 0.0;
   for (double v : dense) total += v;
   EXPECT_DOUBLE_EQ(total, 2.0 * static_cast<double>(f.pattern.nnz()));
-}
-
-TEST(MaskedMultiplyTest, EmptyPatternRowsAreSkipped) {
-  // Node 2 is isolated.
-  CsrMatrix pattern =
-      CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 0, 1.0}});
-  CsrMatrix trans = CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 0, 1.0}});
-  std::vector<double> scratch(9, 0.0);
-  std::vector<double> cur = {0.5, 0.5};
-  ScatterToDense(pattern, cur.data(), scratch.data());
-  std::vector<double> out(2, -1.0);
-  ComputeMaskedProduct(trans, scratch.data(), pattern, out.data());
-  // out[(0,1)] = trans[0,1] * scratch[1*3+1] = 1.0 * 0 = 0
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
 }  // namespace

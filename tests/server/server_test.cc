@@ -23,7 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "gter/common/prom.h"
+#include "gter/common/thread_pool.h"
 #include "gter/core/clusterer.h"
+#include "gter/datagen/datagen.h"
+#include "gter/er/preprocess.h"
 #include "gter/server/client.h"
 
 namespace gter {
@@ -315,6 +318,78 @@ TEST(GterdServerTest, IncrementalStatsExposesIngestCounters) {
   ASSERT_TRUE(batch_stats.ok());
   EXPECT_FALSE(batch_stats.value().Find("incremental")->boolean());
   EXPECT_EQ(batch_stats.value().Find("ingest"), nullptr);
+}
+
+TEST(GterdServerTest, IncrementalTwoThreadPoolServesReadsDuringIngest) {
+  // gterd --incremental --threads=2: requests and their stage work share
+  // one 2-worker pool. An add_record holds the service lock exclusively
+  // while its dirty re-ITER waits on ParallelFor chunks; reads queued in
+  // the same pool must not be run inside that wait, where they would
+  // re-lock the mutex on the writer's own thread and abort the daemon.
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 2018);
+  RemoveFrequentTerms(&data.dataset);
+  std::vector<std::string> stream;
+  for (RecordId r = 0; r < 12; ++r) {
+    stream.push_back(data.dataset.record(r * 7).raw_text);
+  }
+  ThreadPool pool(2);
+  ExecContext ctx = ExecContext::WithPool(&pool);
+  ResolutionServiceOptions options;
+  options.incremental = true;
+  auto built =
+      ResolutionService::Create(std::move(data.dataset), options, ctx);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::unique_ptr<ResolutionService> service = std::move(built).value();
+  auto started = GterdServer::Start(service.get(), {}, ctx);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<GterdServer> server = std::move(started).value();
+  auto writer = GterdClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> ok{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> readers;
+  for (int c = 0; c < 4; ++c) {
+    readers.emplace_back([&, c] {
+      auto connected = GterdClient::Connect("127.0.0.1", server->port());
+      if (!connected.ok()) {
+        ++failed;
+        return;
+      }
+      GterdClient client = std::move(connected).value();
+      for (int i = 0; writing.load() || i < 20; ++i) {
+        JsonValue params = JsonValue::MakeObject();
+        Result<JsonValue> r = Status::Internal("unset");
+        if ((c + i) % 2 == 0) {
+          params.Set("text", JsonValue::MakeString(stream[i % stream.size()]));
+          r = client.Call("resolve", std::move(params));
+        } else {
+          params.Set("a", JsonValue::MakeNumber(i % 50));
+          params.Set("b", JsonValue::MakeNumber(i % 50 + 1));
+          r = client.Call("pair_score", std::move(params));
+        }
+        if (r.ok()) {
+          ++ok;
+        } else {
+          ++failed;
+        }
+      }
+    });
+  }
+  for (const std::string& text : stream) {
+    JsonValue add = JsonValue::MakeObject();
+    add.Set("text", JsonValue::MakeString(text));
+    if (writer.value().Call("add_record", std::move(add)).ok()) {
+      ++ok;
+    } else {
+      ++failed;
+    }
+  }
+  writing.store(false);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(ok.load(), static_cast<int>(stream.size()) + 4 * 20);
 }
 
 TEST(GterdServerTest, MalformedJsonAnswersErrorAndKeepsConnection) {

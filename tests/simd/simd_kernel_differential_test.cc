@@ -1,12 +1,13 @@
 // SIMD-vs-scalar differential tests for the dispatched compute core:
-// packed GEMM (≤1e-12 relative, FMA-reassociated), the masked-product
-// kernels (bitwise — they share the scalar summation order), the
-// gather-reduce primitives behind the ITER sweeps, the batched
-// Jaro-Winkler (bitwise), the end-to-end RunIter, and the dispatch
-// machinery itself. AVX2-dependent cases GTEST_SKIP on machines or builds
-// without the level, so the suite passes everywhere.
+// packed GEMM (≤1e-12 relative, FMA-reassociated), the CSR masked-product
+// kernel (bitwise — it shares the scalar summation order), the batched
+// Jaro-Winkler (bitwise), ITER (bitwise at every level and thread count —
+// it has one summation order), and the dispatch machinery itself.
+// AVX2-dependent cases GTEST_SKIP on machines or builds without the level,
+// so the suite passes everywhere.
 
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,13 +17,13 @@
 #include "gter/common/cpu.h"
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
-#include "gter/common/simd_ops.h"
 #include "gter/common/thread_pool.h"
 #include "gter/common/trace.h"
 #include "gter/core/iter.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
 #include "gter/graph/bipartite_graph.h"
+#include "gter/graph/dynamic_bipartite.h"
 #include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/gemm.h"
 #include "gter/matrix/masked_multiply.h"
@@ -120,49 +121,6 @@ TEST(SimdDispatch, EmitCpuInfoRecordsGaugesAndTraceLabel) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather-reduce primitives (the ITER sweep inner loops).
-
-class IndexedSumDifferential : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IndexedSumDifferential, Avx2MatchesScalarWithinTolerance) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  const size_t n = GetParam();
-  Rng rng(n * 7 + 1);
-  std::vector<double> values(1000);
-  std::vector<double> weights(1000);
-  for (double& v : values) v = rng.UniformDouble(-1.0, 1.0);
-  for (double& w : weights) w = rng.UniformDouble(0.0, 1.0);
-  std::vector<uint32_t> idx(n);
-  for (uint32_t& i : idx) i = static_cast<uint32_t>(rng.NextBounded(1000));
-
-  const IndexedSumFn simd_sum = ResolveIndexedSum(SimdLevel::kAvx2);
-  const IndexedWeightedSumFn simd_wsum =
-      ResolveIndexedWeightedSum(SimdLevel::kAvx2);
-  ASSERT_NE(simd_sum, &IndexedSumScalar);
-
-  const double ref = IndexedSumScalar(values.data(), idx.data(), n);
-  const double got = simd_sum(values.data(), idx.data(), n);
-  EXPECT_NEAR(got, ref, 1e-12 * std::max(1.0, std::fabs(ref))) << "n=" << n;
-
-  const double wref =
-      IndexedWeightedSumScalar(weights.data(), values.data(), idx.data(), n);
-  const double wgot = simd_wsum(weights.data(), values.data(), idx.data(), n);
-  EXPECT_NEAR(wgot, wref, 1e-12 * std::max(1.0, std::fabs(wref))) << "n=" << n;
-}
-
-// Sizes cover the scalar tail (<4), one vector, the unroll-by-8 main loop,
-// and every remainder class mod 8.
-INSTANTIATE_TEST_SUITE_P(Sizes, IndexedSumDifferential,
-                         ::testing::Values(0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16,
-                                           33, 100, 1000));
-
-TEST(IndexedSum, ScalarResolutionIsTheReferenceFunction) {
-  EXPECT_EQ(ResolveIndexedSum(SimdLevel::kScalar), &IndexedSumScalar);
-  EXPECT_EQ(ResolveIndexedWeightedSum(SimdLevel::kScalar),
-            &IndexedWeightedSumScalar);
-}
-
-// ---------------------------------------------------------------------------
 // Packed GEMM.
 
 DenseMatrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -256,7 +214,7 @@ TEST(GemmSimd, PackedKernelIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Masked-product kernels: bitwise contract.
+// Masked-product kernel: bitwise contract.
 
 CsrMatrix ErdosRenyiCsr(size_t n, size_t edges_per_node, uint64_t seed) {
   Rng rng(seed);
@@ -284,28 +242,20 @@ TEST_P(MaskedProductDifferential, Avx2MatchesScalarBitwise) {
   Rng rng(seed + 99);
   std::vector<double> prev(pattern.nnz());
   for (double& v : prev) v = rng.OpenUniformDouble();
-  std::vector<double> dense(n * n, 0.0);
-  ScatterToDense(pattern, prev.data(), dense.data());
 
-  std::vector<double> ref_dense(pattern.nnz()), got_dense(pattern.nnz());
-  std::vector<double> ref_csr(pattern.nnz()), got_csr(pattern.nnz());
+  std::vector<double> ref(pattern.nnz()), got(pattern.nnz());
   {
     ScopedSimdLevel scalar(SimdLevel::kScalar);
-    ComputeMaskedProduct(trans, dense.data(), pattern, ref_dense.data());
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, ref_csr.data());
+    ComputeMaskedProductCsr(trans, prev.data(), pattern, ref.data());
   }
   {
     ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    ComputeMaskedProduct(trans, dense.data(), pattern, got_dense.data());
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, got_csr.data());
+    ComputeMaskedProductCsr(trans, prev.data(), pattern, got.data());
   }
-  // The AVX2 twins preserve the scalar per-entry summation order exactly
-  // (no FMA, lane == entry), so equality is exact, keeping the existing
-  // dense-vs-CSR ASSERT_EQ contract intact at every dispatch level.
+  // The AVX2 twin vectorizes only exact products and copies; the adds stay
+  // scalar in the scalar order, so equality is exact.
   for (size_t e = 0; e < pattern.nnz(); ++e) {
-    ASSERT_EQ(got_dense[e], ref_dense[e]) << "dense kernel entry " << e;
-    ASSERT_EQ(got_csr[e], ref_csr[e]) << "csr kernel entry " << e;
-    ASSERT_EQ(got_csr[e], got_dense[e]) << "cross-kernel entry " << e;
+    ASSERT_EQ(got[e], ref[e]) << "entry " << e;
   }
 }
 
@@ -344,48 +294,82 @@ struct IterWorld {
   }
 };
 
-TEST(IterSimd, SimdRunMatchesScalarRunWithinTolerance) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
+// ITER accumulates every gather left to right and reduces over fixed
+// chunks, whatever the SIMD level or thread count: each configuration must
+// reproduce the serial scalar run bit for bit.
+const SimdLevel kAllLevels[] = {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                SimdLevel::kAvx512};
+
+TEST(IterSimd, RunIsBitIdenticalAcrossLevelsAndThreadCounts) {
   IterWorld world(42);
   IterOptions options;
   options.max_iterations = 30;
-  IterResult ref, got;
+  options.grain = 16;  // several chunks per parallel sweep
+  IterResult ref;
   {
     ScopedSimdLevel scalar(SimdLevel::kScalar);
     ref = RunIter(world.graph, world.probability, options).value();
   }
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    got = RunIter(world.graph, world.probability, options).value();
-  }
-  ASSERT_EQ(ref.term_weights.size(), got.term_weights.size());
-  for (size_t t = 0; t < ref.term_weights.size(); ++t) {
-    EXPECT_NEAR(got.term_weights[t], ref.term_weights[t], 1e-10) << t;
-  }
-  for (size_t p = 0; p < ref.pair_scores.size(); ++p) {
-    EXPECT_NEAR(got.pair_scores[p], ref.pair_scores[p], 1e-10) << p;
+  ThreadPool pool(4);
+  for (SimdLevel level : kAllLevels) {
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ScopedSimdLevel scoped(level);
+      IterResult got = RunIter(world.graph, world.probability, options,
+                               ExecContext::WithPool(threads))
+                           .value();
+      const std::string where = std::string(SimdLevelName(level)) +
+                                (threads != nullptr ? " pool" : " serial");
+      EXPECT_EQ(got.term_weights, ref.term_weights) << where;
+      EXPECT_EQ(got.pair_scores, ref.pair_scores) << where;
+      EXPECT_EQ(got.iterations, ref.iterations) << where;
+    }
   }
 }
 
-TEST(IterSimd, PoolRunIsBitIdenticalAtEveryLevel) {
-  IterWorld world(7);
-  IterOptions options;
-  options.max_iterations = 20;
+TEST(IterSimd, DirtyRunIsBitIdenticalAcrossLevelsAndThreadCounts) {
+  IterWorld world(42);
+  DynamicBipartiteGraph graph;
+  graph.EnsureTerms(world.graph.num_terms());
+  for (const Record& rec : world.ds.records()) graph.AddRecordTerms(rec.terms);
+  for (PairId p = 0; p < world.pairs.size(); ++p) {
+    graph.AddPair(world.graph.TermsOfPair(p));
+  }
+  // Three terms with adjacent pairs, re-perturbed after the first converge
+  // so the second run goes through the worklist rather than full sweeps.
+  std::vector<TermId> perturbed;
+  for (TermId t = 0; t < graph.num_terms() && perturbed.size() < 3; ++t) {
+    if (!graph.PairsOfTerm(t).empty()) perturbed.push_back(t);
+  }
+  ASSERT_EQ(perturbed.size(), 3u);
+  IterDirtyOptions options;
+  options.grain = 16;
+  // Full-frontier build from a constant start, then the worklist
+  // re-converge; returns the final weights and scores.
+  const auto run = [&](const ExecContext& ctx) {
+    std::vector<TermId> all(graph.num_terms());
+    std::iota(all.begin(), all.end(), TermId{0});
+    std::vector<double> x(graph.num_terms(), 0.5);
+    std::vector<double> s(graph.num_pairs(), 0.0);
+    EXPECT_TRUE(RunIterDirty(graph, all, options, &x, &s, ctx).ok());
+    for (TermId t : perturbed) x[t] *= 0.5;
+    EXPECT_TRUE(RunIterDirty(graph, perturbed, options, &x, &s, ctx).ok());
+    return std::make_pair(x, s);
+  };
+  std::pair<std::vector<double>, std::vector<double>> ref;
+  {
+    ScopedSimdLevel scalar(SimdLevel::kScalar);
+    ref = run(DefaultExecContext());
+  }
   ThreadPool pool(4);
-  for (SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
-    ScopedSimdLevel scoped(level);
-    IterResult serial =
-        RunIter(world.graph, world.probability, options).value();
-    IterResult parallel = RunIter(world.graph, world.probability, options,
-                                  ExecContext::WithPool(&pool))
-                              .value();
-    // Sweeps are gather-style and the chunked reductions have fixed
-    // boundaries, so thread count changes nothing — bit for bit.
-    EXPECT_EQ(serial.term_weights, parallel.term_weights)
-        << "level " << SimdLevelName(level);
-    EXPECT_EQ(serial.pair_scores, parallel.pair_scores)
-        << "level " << SimdLevelName(level);
-    EXPECT_EQ(serial.iterations, parallel.iterations);
+  for (SimdLevel level : kAllLevels) {
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ScopedSimdLevel scoped(level);
+      auto got = run(ExecContext::WithPool(threads));
+      const std::string where = std::string(SimdLevelName(level)) +
+                                (threads != nullptr ? " pool" : " serial");
+      EXPECT_EQ(got.first, ref.first) << "weights, " << where;
+      EXPECT_EQ(got.second, ref.second) << "scores, " << where;
+    }
   }
 }
 

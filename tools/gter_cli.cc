@@ -359,7 +359,7 @@ int RunEvalEndgames(int argc, char** argv) {
   flags.AddDouble("eta", 0.98, "matching probability threshold");
   flags.AddDouble("merge_threshold", 0.5,
                   "hierarchical endgame: stop merging below this linkage");
-  flags.AddInt("threads", 0, "worker threads (0 = sequential)");
+  flags.AddInt("threads", 0, "worker threads (0 = all cores, 1 = serial)");
   flags.AddString("out", "", "output JSON path (optional)");
   flags.AddBool("incremental", false,
                 "train through the ResolverState engine (half the records "
