@@ -9,6 +9,15 @@
 #include "gter/text/string_metrics.h"
 
 namespace gter {
+namespace {
+
+// Weight every term starts from. The prob ≡ 1 logistic ITER map has a
+// single positive attractor, reached from any positive start; a constant
+// (rather than RunIter's random init) keeps the batch and streamed arms
+// trivially comparable.
+constexpr double kInitialWeight = 0.5;
+
+}  // namespace
 
 ResolverState::ResolverState(Dataset* dataset, ResolverStateOptions options)
     : dataset_(dataset), options_(options), graph_(options.pt_mode) {
@@ -24,7 +33,7 @@ void ResolverState::GrowToVocabulary() {
   // logistic map has one positive attractor, so the value is free — and a
   // term only ever seen in one record has no pairs, so its first sweep
   // parks it at 0 anyway.
-  x_.resize(vocab, options_.initial_weight);
+  x_.resize(vocab, kInitialWeight);
   inverted_.resize(vocab);
 }
 
@@ -61,6 +70,17 @@ void ResolverState::StructuralIngest(RecordId r) {
     matches_.push_back(false);
     pairs_of_record_[b].push_back(p);
     pairs_of_record_[r].push_back(p);
+  }
+
+  // x = 0 is a fixed point of the map too. A term parked at 0 (it had no
+  // pairs) whose new pairs' other terms also sit at 0 would stay there,
+  // while a batch build from kInitialWeight reaches the positive root, so
+  // it restarts from kInitialWeight. Its stale scores are refreshed by the
+  // converge: the record's terms are the dirty frontier below.
+  for (TermId t : rec.terms) {
+    if (x_[t] == 0.0 && !graph_.PairsOfTerm(t).empty()) {
+      x_[t] = kInitialWeight;
+    }
   }
 
   // Posting upsert: r is the largest id, so postings stay sorted.
@@ -196,6 +216,8 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
     ++full_resweeps_;
     if (metrics != nullptr) metrics->AddCounter("ingest/full_resweeps");
   }
+  if (swept.value().stall_escalated) ++stall_escalations_;
+  subsystem_solves_ += swept.value().subsystem_solves;
   if (metrics != nullptr) {
     metrics->SetGauge("ingest/last_converge_sweeps",
                       static_cast<double>(swept.value().sweeps));

@@ -11,7 +11,7 @@
 #include "gter/core/iter.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
-#include "gter/graph/dynamic_bipartite.h"
+#include "gter/graph/bipartite_graph.h"
 
 namespace gter {
 
@@ -21,14 +21,8 @@ struct ResolverStateOptions {
   double eta = 0.98;
   /// Eq. 6 denominator mode of the underlying graph.
   PtMode pt_mode = PtMode::kPaper;
-  /// Dirty-region re-ITER knobs (frontier tolerance, full-resweep escape
-  /// hatch).
+  /// Dirty-region re-ITER knobs (subsystem-solve trigger, chunk grain).
   IterDirtyOptions iter;
-  /// Weight every term starts from. The prob ≡ 1 logistic ITER map has a
-  /// single positive attractor, so any positive constant converges to the
-  /// same fixed point; a constant (rather than RunIter's random init) keeps
-  /// the batch and streamed arms trivially comparable.
-  double initial_weight = 0.5;
 };
 
 /// Per-ingest outcome, the add_record response payload.
@@ -54,7 +48,7 @@ struct IngestStats {
 /// §4g). Owns updatable views of every pipeline intermediate:
 ///
 ///  - the shared-term inverted index (posting upsert per ingest),
-///  - the PairSpace and the term ↔ pair DynamicBipartiteGraph (append +
+///  - the PairSpace and the term ↔ pair BipartiteGraph (append +
 ///    N_t/P_t maintenance),
 ///  - the ITER term weights / pair scores (dirty-region re-converge via
 ///    RunIterDirty),
@@ -68,6 +62,9 @@ struct IngestStats {
 /// can reach. `BuildBatch` is the same code path with every term dirty, so
 /// a batch build and any ingest order converge to the same fixed point —
 /// the property the incremental-vs-batch differential suite pins at 1e-10.
+/// Every term starts from one positive constant, and an ingest restarts
+/// from it any of the record's terms that sits at exactly 0 (the other
+/// fixed point of the map) but now has pairs, as a batch build would.
 ///
 /// Probability model: ITER's pair score is unnormalized (it grows with the
 /// shared-term count), so the match rule scales each score by the best
@@ -117,7 +114,7 @@ class ResolverState {
   /// Records resolved so far (≤ dataset().size()).
   size_t num_records() const { return ingested_records_; }
   const PairSpace& pairs() const { return pairs_; }
-  const DynamicBipartiteGraph& graph() const { return graph_; }
+  const BipartiteGraph& graph() const { return graph_; }
 
   /// ITER term weights, indexed by TermId (vocabulary-sized).
   const std::vector<double>& term_weights() const { return x_; }
@@ -152,6 +149,8 @@ class ResolverState {
   uint64_t records_ingested() const { return records_ingested_; }
   uint64_t dirty_reiter_runs() const { return dirty_reiter_runs_; }
   uint64_t full_resweeps() const { return full_resweeps_; }
+  uint64_t stall_escalations() const { return stall_escalations_; }
+  uint64_t subsystem_solves() const { return subsystem_solves_; }
   size_t last_converge_sweeps() const { return last_converge_sweeps_; }
 
  private:
@@ -169,7 +168,7 @@ class ResolverState {
 
   Dataset* dataset_;
   ResolverStateOptions options_;
-  DynamicBipartiteGraph graph_;
+  BipartiteGraph graph_;
   PairSpace pairs_;
   std::vector<std::vector<RecordId>> inverted_;
   std::vector<std::vector<PairId>> pairs_of_record_;
@@ -192,6 +191,8 @@ class ResolverState {
   uint64_t records_ingested_ = 0;
   uint64_t dirty_reiter_runs_ = 0;
   uint64_t full_resweeps_ = 0;
+  uint64_t stall_escalations_ = 0;
+  uint64_t subsystem_solves_ = 0;
   size_t last_converge_sweeps_ = 0;
   bool last_used_full_ = false;
 };

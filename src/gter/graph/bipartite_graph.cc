@@ -1,7 +1,5 @@
 #include "gter/graph/bipartite_graph.h"
 
-#include <algorithm>
-
 #include "gter/common/metrics.h"
 #include "gter/common/status.h"
 #include "gter/text/string_metrics.h"
@@ -11,59 +9,58 @@ namespace gter {
 BipartiteGraph BipartiteGraph::Build(const Dataset& dataset,
                                      const PairSpace& pairs, PtMode pt_mode) {
   GTER_TRACE_SCOPE("bipartite/build");
-  BipartiteGraph g;
-  const size_t num_terms = dataset.vocabulary().size();
-  const size_t num_pairs = pairs.size();
+  BipartiteGraph g(pt_mode);
+  g.EnsureTerms(dataset.vocabulary().size());
+  for (const Record& rec : dataset.records()) g.AddRecordTerms(rec.terms);
 
-  // Pass 1: pair → shared-term CSR.
-  g.pair_offsets_.assign(num_pairs + 1, 0);
+  // Shared terms of every pair and each term's posting degree first, so the
+  // appends below fill exactly-sized vectors with no growth slack.
+  const size_t num_pairs = pairs.size();
   std::vector<std::vector<TermId>> shared(num_pairs);
+  std::vector<size_t> degree(g.num_terms(), 0);
+  size_t num_edges = 0;
   for (PairId p = 0; p < num_pairs; ++p) {
     const RecordPair& rp = pairs.pair(p);
     shared[p] = SortedIntersection(dataset.record(rp.a).terms,
                                    dataset.record(rp.b).terms);
-    GTER_CHECK(!shared[p].empty());  // PairSpace only materializes sharers
-    g.pair_offsets_[p + 1] = g.pair_offsets_[p] + shared[p].size();
+    for (TermId t : shared[p]) ++degree[t];
+    num_edges += shared[p].size();
   }
-  g.pair_terms_.reserve(g.pair_offsets_[num_pairs]);
-  for (PairId p = 0; p < num_pairs; ++p) {
-    g.pair_terms_.insert(g.pair_terms_.end(), shared[p].begin(),
-                         shared[p].end());
+  g.pair_offsets_.reserve(num_pairs + 1);
+  g.pair_terms_.reserve(num_edges);
+  for (size_t t = 0; t < g.num_terms(); ++t) {
+    g.term_pairs_[t].reserve(degree[t]);
   }
-
-  // Pass 2: invert to term → pairs CSR.
-  std::vector<size_t> degree(num_terms, 0);
-  for (TermId t : g.pair_terms_) ++degree[t];
-  g.term_offsets_.assign(num_terms + 1, 0);
-  for (size_t t = 0; t < num_terms; ++t) {
-    g.term_offsets_[t + 1] = g.term_offsets_[t] + degree[t];
-  }
-  g.term_pairs_.resize(g.pair_terms_.size());
-  std::vector<size_t> cursor(g.term_offsets_.begin(),
-                             g.term_offsets_.end() - 1);
-  for (PairId p = 0; p < num_pairs; ++p) {
-    for (TermId t : shared[p]) {
-      g.term_pairs_[cursor[t]++] = p;
-    }
-  }
-
-  // Pass 3: N_t and the Eq. 6 denominator P_t.
-  g.nt_.assign(num_terms, 0);
-  for (const Record& rec : dataset.records()) {
-    for (TermId t : rec.terms) ++g.nt_[t];
-  }
-  g.pt_.assign(num_terms, 1.0);
-  for (size_t t = 0; t < num_terms; ++t) {
-    double pt = 1.0;
-    if (pt_mode == PtMode::kPaper) {
-      double nt = static_cast<double>(g.nt_[t]);
-      pt = nt * (nt - 1.0) / 2.0;
-    } else {
-      pt = static_cast<double>(g.term_offsets_[t + 1] - g.term_offsets_[t]);
-    }
-    g.pt_[t] = std::max(pt, 1.0);
-  }
+  // PairSpace only materializes sharers, so AddPair's non-empty check
+  // holds.
+  for (PairId p = 0; p < num_pairs; ++p) g.AddPair(shared[p]);
   return g;
+}
+
+void BipartiteGraph::EnsureTerms(size_t num_terms) {
+  if (num_terms <= term_pairs_.size()) return;
+  term_pairs_.resize(num_terms);
+  nt_.resize(num_terms, 0);
+}
+
+void BipartiteGraph::AddRecordTerms(std::span<const TermId> terms) {
+  for (TermId t : terms) {
+    GTER_CHECK(t < nt_.size());
+    ++nt_[t];
+  }
+}
+
+PairId BipartiteGraph::AddPair(std::span<const TermId> shared_terms) {
+  GTER_CHECK(!shared_terms.empty());
+  const PairId p = static_cast<PairId>(num_pairs());
+  pair_terms_.insert(pair_terms_.end(), shared_terms.begin(),
+                     shared_terms.end());
+  pair_offsets_.push_back(pair_terms_.size());
+  for (TermId t : shared_terms) {
+    GTER_CHECK(t < term_pairs_.size());
+    term_pairs_[t].push_back(p);
+  }
+  return p;
 }
 
 }  // namespace gter

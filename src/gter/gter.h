@@ -57,7 +57,6 @@
 #include "gter/er/record.h"
 
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/dynamic_bipartite.h"
 #include "gter/graph/connected_components.h"
 #include "gter/graph/pagerank.h"
 #include "gter/graph/record_graph.h"

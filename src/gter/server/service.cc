@@ -471,6 +471,10 @@ JsonValue ResolutionService::Stats(const ExecContext& ctx) const {
                JsonValue::MakeNumber(state_->dirty_reiter_runs()));
     ingest.Set("full_resweeps",
                JsonValue::MakeNumber(state_->full_resweeps()));
+    ingest.Set("stall_escalations",
+               JsonValue::MakeNumber(state_->stall_escalations()));
+    ingest.Set("subsystem_solves",
+               JsonValue::MakeNumber(state_->subsystem_solves()));
     ingest.Set("last_converge_sweeps",
                JsonValue::MakeNumber(state_->last_converge_sweeps()));
     ingest.Set("pending_dirty",

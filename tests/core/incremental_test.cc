@@ -14,8 +14,9 @@
 //  3. The progressive scheduler with an unlimited budget emits exactly the
 //     batch match set and clustering; a tripped budget yields a valid
 //     partial snapshot, never an error.
-//  4. DynamicBipartiteGraph is structure-for-structure the frozen
-//     BipartiteGraph when fed the same dataset and pairs.
+//  4. Ingests over a RemoveFrequentTerms corpus stay on the worklist: the
+//     stall detector does not take a slowly contracting cluster for a
+//     limit cycle and escalate it to full sweeps.
 
 #include <algorithm>
 #include <cmath>
@@ -32,8 +33,8 @@
 #include "gter/core/progressive.h"
 #include "gter/core/resolver_state.h"
 #include "gter/datagen/datagen.h"
+#include "gter/er/preprocess.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/dynamic_bipartite.h"
 
 namespace gter {
 namespace {
@@ -263,6 +264,65 @@ TEST(IncrementalDifferentialTest, ServingIngestPathMatchesBatch) {
   ExpectArmsAgree(batch, stream, identity, 1e-10);
 }
 
+TEST(IncrementalDifferentialTest, PreprocessedCorpusStreamMatchesBatch) {
+  // The serving shape: the corpus went through RemoveFrequentTerms, while
+  // ingested records are tokenized in full. Terms the build left without
+  // pairs (stripped frequent terms, single-record terms) sit at weight 0
+  // — also a fixed point of the map — until ingests give them pairs. The
+  // streamed state must still land where a batch build over its final
+  // dataset lands, whose terms all start from the positive constant.
+  const Dataset data = MakeData();
+  const size_t n = data.size();
+  const size_t tail = n / 3;
+  ThreadPool pool(8);
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const ExecContext ctx = ExecContext::WithPool(threads);
+    Dataset corpus(data.name(), data.num_sources());
+    for (size_t i = 0; i + tail < n; ++i) {
+      corpus.AddRecord(data.record(i).source, data.record(i).raw_text,
+                       data.record(i).fields);
+    }
+    RemoveFrequentTerms(&corpus);
+    ResolverState stream(&corpus);
+    ASSERT_TRUE(stream.BuildBatch(ctx).ok());
+    for (size_t i = n - tail; i < n; ++i) {
+      auto ingest =
+          stream.Ingest(data.record(i).source, data.record(i).raw_text, ctx);
+      ASSERT_TRUE(ingest.ok()) << ingest.status();
+    }
+
+    Dataset final_data = stream.dataset();
+    ResolverState batch(&final_data);
+    ASSERT_TRUE(batch.BuildBatch(ctx).ok());
+    std::vector<RecordId> identity(n);
+    for (size_t i = 0; i < n; ++i) identity[i] = static_cast<RecordId>(i);
+    ExpectArmsAgree(batch, stream, identity, 1e-10);
+    EXPECT_EQ(batch.matches(), stream.matches());
+    EXPECT_EQ(batch.cluster_of(), stream.cluster_of());
+  }
+}
+
+TEST(ResolverStateTest, PreprocessedCorpusIngestsStayOnWorklist) {
+  // Ingests that carry terms RemoveFrequentTerms stripped from the corpus
+  // grow a positive cluster of those terms, which the worklist contracts
+  // geometrically but slowly (ratio ~0.3 per sweep). Counting that tail as
+  // a dust limit cycle escalated 17 of these 20 ingests to full sweeps of
+  // the whole graph.
+  Dataset corpus =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.5, 5).dataset;
+  RemoveFrequentTerms(&corpus);
+  const Dataset fresh =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 77).dataset;
+  ResolverState state(&corpus);
+  ASSERT_TRUE(state.BuildBatch().ok());
+  constexpr size_t kIngests = 20;
+  for (size_t i = 0; i < kIngests; ++i) {
+    ASSERT_TRUE(state.Ingest(0, fresh.record(i).raw_text).ok());
+  }
+  EXPECT_LE(state.stall_escalations(), 2u);
+  EXPECT_LE(state.full_resweeps(), 3u);  // the batch build's one included
+}
+
 TEST(IncrementalCancelTest, EveryEntryPointCancelsAtEntry) {
   Dataset data = MakeData();
   CancelToken token;
@@ -302,7 +362,7 @@ TEST(IncrementalCancelTest, EveryEntryPointCancelsAtEntry) {
     EXPECT_EQ(state.Converge(ctx).code(), StatusCode::kCancelled);
   }
   {
-    DynamicBipartiteGraph graph;
+    BipartiteGraph graph;
     graph.EnsureTerms(4);
     std::vector<double> x(4, 0.5);
     std::vector<double> s;
@@ -406,38 +466,6 @@ TEST(ProgressiveTest, TrippedBudgetYieldsValidPartialSnapshot) {
   for (PairId p = 0; p < state.pairs().size(); ++p) {
     if (out.matches[p]) {
       EXPECT_GE(state.pair_probability()[p], options.eta);
-    }
-  }
-}
-
-TEST(DynamicBipartiteTest, MirrorsFrozenGraphStructure) {
-  Dataset data = MakeData();
-  PairSpace pairs = PairSpace::Build(data);
-  for (PtMode mode : {PtMode::kPaper, PtMode::kConnectedPairs}) {
-    BipartiteGraph frozen = BipartiteGraph::Build(data, pairs, mode);
-    DynamicBipartiteGraph dynamic(mode);
-    dynamic.EnsureTerms(data.vocabulary().size());
-    for (const Record& rec : data.records()) {
-      dynamic.AddRecordTerms(rec.terms);
-    }
-    for (PairId p = 0; p < pairs.size(); ++p) {
-      auto terms = frozen.TermsOfPair(p);
-      ASSERT_EQ(dynamic.AddPair(terms), p);
-    }
-    ASSERT_EQ(dynamic.num_terms(), frozen.num_terms());
-    ASSERT_EQ(dynamic.num_pairs(), frozen.num_pairs());
-    ASSERT_EQ(dynamic.num_edges(), frozen.num_edges());
-    for (TermId t = 0; t < frozen.num_terms(); ++t) {
-      ASSERT_EQ(dynamic.Nt(t), frozen.Nt(t)) << t;
-      ASSERT_EQ(dynamic.Pt(t), frozen.Pt(t)) << t;
-      auto a = frozen.PairsOfTerm(t);
-      auto b = dynamic.PairsOfTerm(t);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
-    }
-    for (PairId p = 0; p < frozen.num_pairs(); ++p) {
-      auto a = frozen.TermsOfPair(p);
-      auto b = dynamic.TermsOfPair(p);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
     }
   }
 }

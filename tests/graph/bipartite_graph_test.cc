@@ -1,6 +1,11 @@
 #include "gter/graph/bipartite_graph.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "gter/datagen/datagen.h"
+#include "gter/text/string_metrics.h"
 
 namespace gter {
 namespace {
@@ -90,6 +95,56 @@ TEST(BipartiteGraphTest, PtFloorIsOne) {
   TermId solo = ds.vocabulary().Lookup("solo");
   EXPECT_DOUBLE_EQ(graph.Pt(solo), 1.0);
   EXPECT_TRUE(graph.PairsOfTerm(solo).empty());
+}
+
+TEST(BipartiteGraphTest, AppendApiGrowthMatchesBuild) {
+  // Grown record by record the way ResolverState does — terms as the
+  // vocabulary reaches them, each record's N_t, then its pairs against
+  // earlier records — the graph equals Build over the same pairs.
+  Dataset data =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.12, 11).dataset;
+  PairSpace pairs;
+  for (RecordId b = 1; b < data.size(); ++b) {
+    for (RecordId a = 0; a < b; ++a) {
+      if (SortedIntersectionSize(data.record(a).terms,
+                                 data.record(b).terms) > 0) {
+        pairs.Append(a, b);
+      }
+    }
+  }
+  for (PtMode mode : {PtMode::kPaper, PtMode::kConnectedPairs}) {
+    BipartiteGraph built = BipartiteGraph::Build(data, pairs, mode);
+    BipartiteGraph grown(mode);
+    PairId next = 0;
+    for (RecordId r = 0; r < data.size(); ++r) {
+      const Record& rec = data.record(r);
+      for (TermId t : rec.terms) grown.EnsureTerms(t + 1);
+      grown.AddRecordTerms(rec.terms);
+      for (; next < pairs.size() && pairs.pair(next).b == r; ++next) {
+        const RecordPair& rp = pairs.pair(next);
+        ASSERT_EQ(grown.AddPair(SortedIntersection(
+                      data.record(rp.a).terms, rec.terms)),
+                  next);
+      }
+    }
+    grown.EnsureTerms(data.vocabulary().size());
+    ASSERT_EQ(next, pairs.size());
+    ASSERT_EQ(grown.num_terms(), built.num_terms());
+    ASSERT_EQ(grown.num_pairs(), built.num_pairs());
+    ASSERT_EQ(grown.num_edges(), built.num_edges());
+    for (TermId t = 0; t < built.num_terms(); ++t) {
+      ASSERT_EQ(grown.Nt(t), built.Nt(t)) << t;
+      ASSERT_EQ(grown.Pt(t), built.Pt(t)) << t;
+      auto a = built.PairsOfTerm(t);
+      auto b = grown.PairsOfTerm(t);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
+    }
+    for (PairId p = 0; p < built.num_pairs(); ++p) {
+      auto a = built.TermsOfPair(p);
+      auto b = grown.TermsOfPair(p);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
+    }
+  }
 }
 
 }  // namespace

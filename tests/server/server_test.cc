@@ -311,6 +311,10 @@ TEST(GterdServerTest, IncrementalStatsExposesIngestCounters) {
   EXPECT_GE(ingest->NumberOr("last_converge_sweeps", -1), 1.0);
   EXPECT_FALSE(ingest->Find("pending_dirty")->boolean());
   EXPECT_GE(ingest->NumberOr("state_version", -1), 2.0);
+  // Escape-hatch rates: served, and zero for the batch-build converge and a
+  // small ingest on this corpus.
+  EXPECT_EQ(ingest->NumberOr("stall_escalations", -1), 0.0);
+  EXPECT_EQ(ingest->NumberOr("subsystem_solves", -1), 0.0);
   // The batch-mode fixture serves no ingest object.
   ServerFixture batch;
   GterdClient batch_client = batch.Connect();

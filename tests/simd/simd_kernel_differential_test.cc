@@ -23,7 +23,6 @@
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/dynamic_bipartite.h"
 #include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/gemm.h"
 #include "gter/matrix/masked_multiply.h"
@@ -328,12 +327,7 @@ TEST(IterSimd, RunIsBitIdenticalAcrossLevelsAndThreadCounts) {
 
 TEST(IterSimd, DirtyRunIsBitIdenticalAcrossLevelsAndThreadCounts) {
   IterWorld world(42);
-  DynamicBipartiteGraph graph;
-  graph.EnsureTerms(world.graph.num_terms());
-  for (const Record& rec : world.ds.records()) graph.AddRecordTerms(rec.terms);
-  for (PairId p = 0; p < world.pairs.size(); ++p) {
-    graph.AddPair(world.graph.TermsOfPair(p));
-  }
+  const BipartiteGraph& graph = world.graph;
   // Three terms with adjacent pairs, re-perturbed after the first converge
   // so the second run goes through the worklist rather than full sweeps.
   std::vector<TermId> perturbed;
